@@ -7,7 +7,7 @@
 
     - {!Gf}, {!Gmatrix}: Galois-field arithmetic and linear algebra.
     - {!Codec}, {!Rse}, {!Rse_poly}, {!Cauchy}, {!Rlnc}, {!Lt},
-      {!Fec_block}, {!Interleaver}: the pluggable erasure-codec seam, its
+      {!Fec_block}: the pluggable erasure-codec seam, its
       four implementations (Reed-Solomon, Cauchy, random linear network
       coding, LT fountain) and block bookkeeping.
     - {!Rng}, {!Dist}, {!Sampler}, {!Series}, {!Special}, {!Stats}:
@@ -58,7 +58,6 @@ module Rlnc = Rmc_rse.Rlnc
 module Lt = Rmc_rse.Lt
 module Parallel = Rmc_rse.Parallel
 module Fec_block = Rmc_rse.Fec_block
-module Interleaver = Rmc_rse.Interleaver
 
 (* Numerics *)
 module Rng = Rmc_numerics.Rng

@@ -57,7 +57,9 @@ let controller_of_string = function
 (* GF(2^8) gives 255 codeword positions; the block codecs on both the
    simulator and UDP paths build over that field.  The rateless codecs
    have no codeword length — their repair budget is bounded only by the
-   16-bit wire index space (index k + j must encode). *)
+   16-bit wire index space, with the same bound the codecs apply
+   ([Codec.max_repair] = 0xFFFF - k), so a profile that validates never
+   fails machine construction. *)
 let max_codeword = 255
 let max_wire_index = 0xFFFF
 
@@ -73,7 +75,7 @@ let validate ?(context = "Profile") t =
   else if (not (codec_is_rateless t.codec)) && t.k + t.h > max_codeword then
     fail "k + h exceeds %d codeword positions (got %d; a rateless codec lifts this)"
       max_codeword (t.k + t.h)
-  else if codec_is_rateless t.codec && t.k + t.h > max_wire_index + 1 then
+  else if codec_is_rateless t.codec && t.k + t.h > max_wire_index then
     fail "k + h exceeds the 16-bit wire index space (got %d)" (t.k + t.h)
   else if t.payload_size < 1 then fail "payload_size must be >= 1 (got %d)" t.payload_size
   else if not (t.pacing > 0.0) then fail "pacing must be positive (got %g)" t.pacing

@@ -3,13 +3,8 @@ module Network = Rmc_sim.Network
 module Rng = Rmc_numerics.Rng
 module Header = Rmc_wire.Header
 module Profile = Rmc_core.Profile
-module Recorder = Rmc_obs.Recorder
 module Buffer_pool = Rmc_pool.Buffer_pool
 module Controller = Rmc_control.Controller
-
-(* Largest datagram either driver moves; the sim shares the UDP driver's
-   bound so a config that simulates also runs on real sockets. *)
-let max_datagram = 65536
 
 type config = {
   k : int;
@@ -88,487 +83,427 @@ type report = {
 let transmissions_per_packet report =
   float_of_int (report.data_tx + report.parity_tx) /. float_of_int report.data_tx
 
+(* The protocol rules are the profile's; only the simulated medium's own
+   field and the datagram bound are checked here. *)
 let validate_config c =
-  if c.k < 1 then invalid_arg "Np: k must be >= 1";
-  if c.h < 0 || c.proactive < 0 || c.proactive > c.h then
-    invalid_arg "Np: need 0 <= proactive <= h";
-  if c.payload_size < 1 then invalid_arg "Np: payload_size must be >= 1";
-  if c.payload_size > max_datagram - Rmc_wire.Header.header_size then
+  ignore (Profile.validate_exn ~context:"Np" (profile_of_config c));
+  if c.payload_size > Np_driver.max_datagram - Rmc_wire.Header.header_size then
     invalid_arg "Np: payload does not fit a 64 KiB datagram";
-  if c.spacing <= 0.0 || c.delay < 0.0 || c.slot <= 0.0 then
-    invalid_arg "Np: spacing/slot must be positive, delay non-negative";
-  if c.h > Rmc_rse.Codec.max_repair (Rmc_rse.Codec.of_kind c.codec) ~k:c.k then
-    invalid_arg "Np: repair budget exceeds the codec's index space";
-  if c.controller <> `Static && c.h < 1 then
-    invalid_arg "Np: an adaptive controller needs a repair budget to retune (h = 0)"
-
-let machine_config c =
-  { Np_machine.k = c.k; h = c.h; proactive = c.proactive; pre_encode = c.pre_encode;
-    slot = c.slot; codec = c.codec }
+  if not (c.delay >= 0.0) then invalid_arg "Np: delay must be non-negative"
 
 (* ------------------------------------------------------------------ *)
 
 (* One NP transfer multiplexed on a shared engine.  The protocol itself
-   lives in the pure {!Np_machine} core; a flow is that core's sender and
-   receiver machines plus the interpreter state binding them to virtual
-   time — NAK-timer handles, the simulated multicast channel, and the
-   delivery-verification scoreboard. *)
+   lives in the pure {!Np_machine} core, wrapped by the {!Np_driver} glue
+   every driver shares; a flow is that core's sender and receiver machines
+   plus the interpreter state binding them to virtual time — NAK-timer
+   handles, the simulated multicast channel, and the delivery-verification
+   scoreboard. *)
 
-type rx_driver = {
-  machine : Np_machine.Receiver.t;
-  timers : (int, Engine.timer) Hashtbl.t; (* armed NAK timers, by tg *)
-}
-
-type churn_event = { receiver : int; at : float; action : [ `Join | `Leave ] }
-
-type flow = {
-  config : config;
-  network : Network.t;
-  sender : Np_machine.Sender.t;
-  rxs : rx_driver array;
-  receivers : int;
-  recorder : Recorder.t option;
-  started_at : float;
-  controller : Controller.t option; (* None iff config.controller = `Static *)
-  mutable applied : Controller.decision; (* last decision fed as Retune *)
-  (* Receiver churn.  [presence] gates packet delivery only — the loss
-     process still draws one fate per (transmission, receiver), so a
-     churn-free run consumes exactly the RNG stream it always did.
-     [last_polls] and [tg_exhausted] track what a late joiner needs to
-     catch up: the current (k, size, round) of each TG's latest poll, and
-     whether its repair budget was already exhausted. *)
-  presence : bool array;
-  completed_at : float option array; (* virtual time of each receiver's Done *)
-  last_polls : (int * int * int) array; (* per TG: k, size, round (0 = no poll yet) *)
-  tg_exhausted : bool array;
-  mutable in_ready : bool; (* member of the arbiter's rotation *)
-  mutable finished_at : float; (* virtual time of the flow's last event *)
-  mutable ejected_rev : (int * int) list;
-  mutable intact : bool;
-}
-
-(* The arbiter: a round-robin rotation of flows that currently have sender
-   jobs queued.  Exactly one packet occupies the shared send slot at a
-   time; after a data/parity packet the slot is busy for that flow's
-   [spacing], after control packets (POLL, EXHAUSTED) it is free
-   immediately — the same pacing model the single-flow machine used, now
-   shared fairly across sessions. *)
-type mux = {
-  engine : Engine.t;
-  ready : flow Queue.t;
-  mutable pumping : bool;
-  pool : Buffer_pool.t; (* scratch datagrams for the wire round-trip *)
-}
-
-let create engine =
-  {
-    engine;
-    ready = Queue.create ();
-    pumping = false;
-    (* One packet is on the wire at a time (the shared send slot), so the
-       round-trip below never holds more than one buffer. *)
-    pool = Buffer_pool.create ~capacity:4 ~buf_size:max_datagram ();
+module Mux = struct
+  type rx_driver = {
+    machine : Np_driver.Receiver.t;
+    timers : (int, Engine.timer) Hashtbl.t; (* armed NAK timers, by tg *)
   }
 
-let engine mux = mux.engine
+  type churn_event = { receiver : int; at : float; action : [ `Join | `Leave ] }
 
-(* Route a packet through the real wire format: serialize it into a pooled
-   buffer and parse it back out, the same bytes the UDP driver would put
-   in a datagram.  The decoded message does not alias the pooled buffer
-   ({!Header.decode_slice} copies payloads out), so one round-trip is
-   shared by every receiver the simulated multicast reaches and the buffer
-   goes straight back to the pool.  Encode/decode is lossless, so recorder
-   streams — which re-encode each [Packet_received] — are unchanged; a
-   round-trip failure is a codec bug, not an input condition. *)
-let through_wire mux message =
-  Buffer_pool.with_buf mux.pool (fun buf ->
-      let len = Header.encode_into buf ~off:0 message in
-      match Header.decode_slice buf ~off:0 ~len with
-      | Ok message -> message
-      | Error reason -> invalid_arg ("Np: wire round-trip failed: " ^ reason))
+  (* Receivers the flow does not hold as machines: the aggregate tier's
+     count-vector remainder.  Each hook runs at the packet's arrival time,
+     scheduled right after the tracked receivers' own arrivals, so it sees
+     the same instant they do and never reorders their events. *)
+  type population = {
+    arrival : tg:int -> unit; (* DATA/PARITY *)
+    poll : tg:int -> size:int -> round:int -> unit;
+    exhausted : tg:int -> unit;
+    overheard : tg:int -> need:int -> round:int -> unit; (* a tracked receiver's NAK *)
+  }
 
-let touch mux flow = flow.finished_at <- Engine.now mux.engine
+  type flow = {
+    config : config;
+    network : Network.t;
+    sender : Np_driver.Sender.t;
+    rxs : rx_driver array;
+    receivers : int;
+    started_at : float;
+    mutable population : population option;
+    (* Receiver churn.  [presence] gates packet delivery only — the loss
+       process still draws one fate per (transmission, receiver), so a
+       churn-free run consumes exactly the RNG stream it always did.
+       [last_polls] and [tg_exhausted] track what a late joiner needs to
+       catch up: the current (k, size, round) of each TG's latest poll, and
+       whether its repair budget was already exhausted. *)
+    presence : bool array;
+    completed_at : float option array; (* virtual time of each receiver's Done *)
+    last_polls : (int * int * int) array; (* per TG: k, size, round (0 = no poll yet) *)
+    tg_exhausted : bool array;
+    mutable in_ready : bool; (* member of the arbiter's rotation *)
+    mutable finished_at : float; (* virtual time of the flow's last event *)
+    mutable ejected_rev : (int * int) list;
+    mutable intact : bool;
+  }
 
-let sender_actor = "s0"
-let rx_actor receiver = "r" ^ string_of_int receiver
+  (* The arbiter: a round-robin rotation of flows that currently have sender
+     jobs queued.  Exactly one packet occupies the shared send slot at a
+     time; after a data/parity packet the slot is busy for that flow's
+     [spacing], after control packets (POLL, EXHAUSTED) it is free
+     immediately — the same pacing model the single-flow machine used, now
+     shared fairly across sessions. *)
+  type t = {
+    engine : Engine.t;
+    ready : flow Queue.t;
+    mutable pumping : bool;
+    pool : Buffer_pool.t; (* scratch datagrams for the wire round-trip *)
+  }
 
-let sender_handle flow event =
-  (match flow.recorder with
-  | Some r -> Recorder.record_event r ~actor:sender_actor (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Sender.handle flow.sender event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e -> Recorder.record_effect r ~actor:sender_actor (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
+  let create engine =
+    {
+      engine;
+      ready = Queue.create ();
+      pumping = false;
+      (* One packet is on the wire at a time (the shared send slot), so the
+         round-trip below never holds more than one buffer. *)
+      pool = Buffer_pool.create ~capacity:4 ~buf_size:Np_driver.max_datagram ();
+    }
 
-let rx_handle flow ~receiver event =
-  (match flow.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(rx_actor receiver) (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Receiver.handle flow.rxs.(receiver).machine event in
-  (match flow.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(rx_actor receiver) (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  effects
+  let engine mux = mux.engine
 
-(* Apply the controller's current decision when it differs from the last
-   one fed to the machine.  Routed through {!sender_handle} so the Retune
-   event lands in the capture — replay stays deterministic without ever
-   re-running the controller. *)
-let maybe_retune flow =
-  match flow.controller with
-  | None -> ()
-  | Some controller ->
-    let d = Controller.decision controller in
-    if not (Controller.decision_equal d flow.applied) then begin
-      flow.applied <- d;
-      ignore
-        (sender_handle flow
-           (Np_machine.Retune
-              { proactive = d.Controller.proactive; budget = d.Controller.budget }))
+  (* Route a packet through the real wire format: serialize it into a pooled
+     buffer and parse it back out, the same bytes the UDP driver would put
+     in a datagram.  The decoded message does not alias the pooled buffer
+     ({!Header.decode_slice} copies payloads out), so one round-trip is
+     shared by every receiver the simulated multicast reaches and the buffer
+     goes straight back to the pool.  Encode/decode is lossless, so recorder
+     streams — which re-encode each [Packet_received] — are unchanged; a
+     round-trip failure is a codec bug, not an input condition. *)
+  let through_wire mux message =
+    Buffer_pool.with_buf mux.pool (fun buf ->
+        let len = Header.encode_into buf ~off:0 message in
+        match Header.decode_slice buf ~off:0 ~len with
+        | Ok message -> message
+        | Error reason -> invalid_arg ("Np: wire round-trip failed: " ^ reason))
+
+  let touch mux flow = flow.finished_at <- Engine.now mux.engine
+  let sender_machine flow = Np_driver.Sender.machine flow.sender
+  let rx_machine rxd = Np_driver.Receiver.machine rxd.machine
+
+  let rec pump mux =
+    match Queue.pop mux.ready with
+    | exception Queue.Empty -> mux.pumping <- false
+    | flow ->
+      if not (Np_machine.Sender.pending (sender_machine flow)) then begin
+        flow.in_ready <- false;
+        pump mux
+      end
+      else begin
+        let busy = execute mux flow in
+        if Np_machine.Sender.pending (sender_machine flow) then Queue.push flow mux.ready
+        else flow.in_ready <- false;
+        touch mux flow;
+        ignore (Engine.after mux.engine busy (fun () -> pump mux))
+      end
+
+  (* Wake the arbiter for a flow that (re)gained jobs.  Entering the rotation
+     is what starts a flow: [add_flow] schedules this at the flow's start
+     time. *)
+  and wake mux flow =
+    if Np_machine.Sender.pending (sender_machine flow) && not flow.in_ready then begin
+      flow.in_ready <- true;
+      Queue.push flow mux.ready;
+      if not mux.pumping then begin
+        mux.pumping <- true;
+        ignore (Engine.after mux.engine 0.0 (fun () -> pump mux))
+      end
     end
 
-let rec pump mux =
-  match Queue.pop mux.ready with
-  | exception Queue.Empty -> mux.pumping <- false
-  | flow ->
-    if not (Np_machine.Sender.pending flow.sender) then begin
-      flow.in_ready <- false;
-      pump mux
-    end
-    else begin
-      let busy = execute mux flow in
-      if Np_machine.Sender.pending flow.sender then Queue.push flow mux.ready
-      else flow.in_ready <- false;
-      touch mux flow;
-      ignore (Engine.after mux.engine busy (fun () -> pump mux))
-    end
+  (* Interpret one sender transmission: [Send] effects become simulated
+     multicasts (data/parity through the network's loss process, control
+     delivered reliably — the analysis' assumption), and the returned busy
+     time keeps the old pacing: [spacing] after a payload-bearing packet,
+     none after control. *)
+  and execute mux flow =
+    let c = flow.config in
+    let effects = Np_driver.Sender.tick flow.sender in
+    List.fold_left
+      (fun busy effect ->
+        match effect with
+        | Np_machine.Send ((Header.Data { tg_id; _ } | Header.Parity { tg_id; _ }) as msg) ->
+          let msg = through_wire mux msg in
+          let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
+          for r = 0 to flow.receivers - 1 do
+            (* One [lost] query per receiver, present or not: the Bernoulli
+               fate is drawn on demand, and churn must not shift the RNG
+               stream of the receivers that stay. *)
+            let lost = Network.lost tx r in
+            if flow.presence.(r) && not lost then
+              ignore
+                (Engine.after mux.engine c.delay (fun () ->
+                     rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
+          done;
+          (match flow.population with
+          | Some p -> ignore (Engine.after mux.engine c.delay (fun () -> p.arrival ~tg:tg_id))
+          | None -> ());
+          c.spacing
+        | Np_machine.Send ((Header.Poll _ | Header.Exhausted _) as msg) ->
+          let msg = through_wire mux msg in
+          (match msg with
+          | Header.Poll { tg_id; k; size; round } ->
+            if tg_id >= 0 && tg_id < Array.length flow.last_polls then
+              flow.last_polls.(tg_id) <- (k, size, round);
+            Np_driver.Sender.observe_poll flow.sender ~tg:tg_id ~k ~size ~round
+          | Header.Exhausted { tg_id } ->
+            if tg_id >= 0 && tg_id < Array.length flow.tg_exhausted then
+              flow.tg_exhausted.(tg_id) <- true
+          | _ -> ());
+          for r = 0 to flow.receivers - 1 do
+            if flow.presence.(r) then
+              ignore
+                (Engine.after mux.engine c.delay (fun () ->
+                     rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
+          done;
+          (match (flow.population, msg) with
+          | Some p, Header.Poll { tg_id; size; round; _ } ->
+            ignore (Engine.after mux.engine c.delay (fun () -> p.poll ~tg:tg_id ~size ~round))
+          | Some p, Header.Exhausted { tg_id } ->
+            ignore (Engine.after mux.engine c.delay (fun () -> p.exhausted ~tg:tg_id))
+          | _ -> ());
+          busy
+        | Np_machine.Send (Header.Nak _)
+        | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
+        | Np_machine.Ejected _ | Np_machine.Trace _ | Np_machine.Done ->
+          busy)
+      0.0 effects
 
-(* Wake the arbiter for a flow that (re)gained jobs.  Entering the rotation
-   is what starts a flow: [add_flow] schedules this at the flow's start
-   time. *)
-and wake mux flow =
-  if Np_machine.Sender.pending flow.sender && not flow.in_ready then begin
-    flow.in_ready <- true;
-    Queue.push flow mux.ready;
-    if not mux.pumping then begin
-      mux.pumping <- true;
-      ignore (Engine.after mux.engine 0.0 (fun () -> pump mux))
-    end
-  end
+  and rx_event mux flow ~receiver event =
+    touch mux flow;
+    let effects = Np_driver.Receiver.handle flow.rxs.(receiver).machine event in
+    List.iter (rx_apply mux flow ~receiver) effects
 
-(* Interpret one sender Tick: [Send] effects become simulated multicasts
-   (data/parity through the network's loss process, control delivered
-   reliably — the analysis' assumption), and the returned busy time keeps
-   the old pacing: [spacing] after a payload-bearing packet, none after
-   control. *)
-and execute mux flow =
-  let c = flow.config in
-  maybe_retune flow;
-  let effects = sender_handle flow Np_machine.Tick in
-  List.fold_left
-    (fun busy effect ->
-      match effect with
-      | Np_machine.Send ((Header.Data _ | Header.Parity _) as msg) ->
-        let msg = through_wire mux msg in
-        let tx = Network.transmit flow.network ~time:(Engine.now mux.engine) in
-        for r = 0 to flow.receivers - 1 do
-          (* One [lost] query per receiver, present or not: the Bernoulli
-             fate is drawn on demand, and churn must not shift the RNG
-             stream of the receivers that stay. *)
-          let lost = Network.lost tx r in
-          if flow.presence.(r) && not lost then
-            ignore
-              (Engine.after mux.engine c.delay (fun () ->
-                   rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
-        c.spacing
-      | Np_machine.Send ((Header.Poll _ | Header.Exhausted _) as msg) ->
-        let msg = through_wire mux msg in
-        (match msg with
-        | Header.Poll { tg_id; k; size; round } ->
-          if tg_id >= 0 && tg_id < Array.length flow.last_polls then
-            flow.last_polls.(tg_id) <- (k, size, round);
-          (match flow.controller with
-          | Some controller -> Controller.observe_poll controller ~tg:tg_id ~k ~size ~round
-          | None -> ())
-        | Header.Exhausted { tg_id } ->
-          if tg_id >= 0 && tg_id < Array.length flow.tg_exhausted then
-            flow.tg_exhausted.(tg_id) <- true
-        | _ -> ());
-        for r = 0 to flow.receivers - 1 do
-          if flow.presence.(r) then
-            ignore
-              (Engine.after mux.engine c.delay (fun () ->
-                   rx_event mux flow ~receiver:r (Np_machine.Packet_received msg)))
-        done;
-        busy
-      | Np_machine.Send (Header.Nak _)
-      | Np_machine.Arm_timer _ | Np_machine.Cancel_timer _ | Np_machine.Deliver _
-      | Np_machine.Ejected _ | Np_machine.Trace _ | Np_machine.Done ->
-        busy)
-    0.0 effects
+  and rx_apply mux flow ~receiver effect =
+    let rxd = flow.rxs.(receiver) in
+    match effect with
+    | Np_machine.Send (Header.Nak { tg_id; need; round }) ->
+      multicast_nak mux flow ~from:receiver ~tg:tg_id ~need ~round;
+      (match flow.population with
+      | Some p ->
+        ignore
+          (Engine.after mux.engine flow.config.delay (fun () ->
+               p.overheard ~tg:tg_id ~need ~round))
+      | None -> ())
+    | Np_machine.Arm_timer { tg; round; offset } ->
+      (match Hashtbl.find_opt rxd.timers tg with Some t -> Engine.cancel t | None -> ());
+      Hashtbl.replace rxd.timers tg
+        (Engine.after mux.engine offset (fun () ->
+             Hashtbl.remove rxd.timers tg;
+             rx_event mux flow ~receiver (Np_machine.Timer_fired { tg; round })))
+    | Np_machine.Cancel_timer { tg } ->
+      (match Hashtbl.find_opt rxd.timers tg with
+      | Some t ->
+        Engine.cancel t;
+        Hashtbl.remove rxd.timers tg
+      | None -> ())
+    | Np_machine.Deliver { tg; data; reconstructed = _ } ->
+      if
+        not
+          (Array.for_all2 Bytes.equal data
+             (Np_machine.Sender.block_data (sender_machine flow) ~tg))
+      then flow.intact <- false
+    | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
+    | Np_machine.Done -> flow.completed_at.(receiver) <- Some (Engine.now mux.engine)
+    | Np_machine.Send _ | Np_machine.Trace _ -> ()
 
-and rx_event mux flow ~receiver event =
-  touch mux flow;
-  let effects = rx_handle flow ~receiver event in
-  List.iter (rx_apply mux flow ~receiver) effects
-
-and rx_apply mux flow ~receiver effect =
-  let rxd = flow.rxs.(receiver) in
-  match effect with
-  | Np_machine.Send (Header.Nak { tg_id; need; round } as nak) ->
-    (* The NAK is multicast: the sender reacts, the other receivers
-       suppress their own pending NAK for this round. *)
-    let nak = through_wire mux nak in
+  (* A NAK is multicast: the sender reacts, the other present receivers
+     suppress their own pending NAK for this round.  [from] is the NAKing
+     receiver, or -1 for a NAK the population injects. *)
+  and multicast_nak mux flow ~from ~tg ~need ~round =
+    let nak = through_wire mux (Header.Nak { tg_id = tg; need; round }) in
     ignore
       (Engine.after mux.engine flow.config.delay (fun () ->
-           sender_feedback mux flow ~tg:tg_id ~need ~round));
+           sender_feedback mux flow ~tg ~need ~round));
     for other = 0 to flow.receivers - 1 do
-      if other <> receiver && flow.presence.(other) then
+      if other <> from && flow.presence.(other) then
         ignore
           (Engine.after mux.engine flow.config.delay (fun () ->
                rx_event mux flow ~receiver:other (Np_machine.Packet_received nak)))
     done
-  | Np_machine.Arm_timer { tg; round; offset } ->
-    (match Hashtbl.find_opt rxd.timers tg with Some t -> Engine.cancel t | None -> ());
-    Hashtbl.replace rxd.timers tg
-      (Engine.after mux.engine offset (fun () ->
-           Hashtbl.remove rxd.timers tg;
-           rx_event mux flow ~receiver (Np_machine.Timer_fired { tg; round })))
-  | Np_machine.Cancel_timer { tg } ->
-    (match Hashtbl.find_opt rxd.timers tg with
-    | Some t ->
-      Engine.cancel t;
-      Hashtbl.remove rxd.timers tg
-    | None -> ())
-  | Np_machine.Deliver { tg; data; reconstructed = _ } ->
-    if
-      not
-        (Array.for_all2 Bytes.equal data (Np_machine.Sender.block_data flow.sender ~tg))
-    then flow.intact <- false
-  | Np_machine.Ejected { tg } -> flow.ejected_rev <- (receiver, tg) :: flow.ejected_rev
-  | Np_machine.Done -> flow.completed_at.(receiver) <- Some (Engine.now mux.engine)
-  | Np_machine.Send _ | Np_machine.Trace _ -> ()
 
-and sender_feedback mux flow ~tg ~need ~round =
-  touch mux flow;
-  (match flow.controller with
-  | Some controller -> Controller.observe_nak controller ~tg ~need ~round
-  | None -> ());
-  ignore (sender_handle flow (Np_machine.Feedback { tg; need; round }));
-  if Np_machine.Sender.pending flow.sender then wake mux flow
+  and sender_feedback mux flow ~tg ~need ~round =
+    touch mux flow;
+    ignore (Np_driver.Sender.feedback flow.sender ~tg ~need ~round);
+    if Np_machine.Sender.pending (sender_machine flow) then wake mux flow
 
-(* Take receiver [ev.receiver] in or out of the delivery set.
+  let inject_nak mux flow ~tg ~need ~round =
+    touch mux flow;
+    multicast_nak mux flow ~from:(-1) ~tg ~need ~round
 
-   Leave cancels the receiver's armed NAK timers (its machine keeps its
-   partial blocks — a flapper that rejoins resumes from what it had).
+  (* Take receiver [ev.receiver] in or out of the delivery set.
 
-   Join replays the sender's current control state at the newcomer: for
-   every unresolved TG it has seen a poll for, the latest poll (so the
-   joiner NAKs into the normal repair path and catches up from parities —
-   slotting and suppression apply exactly as for any other receiver), or
-   EXHAUSTED if the TG's budget is already spent (the joiner gives up at
-   once instead of NAKing into a void the sender would ignore).  Both are
-   ordinary machine events, so they are recorded and replay verbatim. *)
-let apply_churn mux flow ev =
-  match ev.action with
-  | `Leave ->
-    if flow.presence.(ev.receiver) then begin
-      flow.presence.(ev.receiver) <- false;
-      let rxd = flow.rxs.(ev.receiver) in
-      Hashtbl.iter (fun _tg timer -> Engine.cancel timer) rxd.timers;
-      Hashtbl.reset rxd.timers;
-      touch mux flow
-    end
-  | `Join ->
-    if not flow.presence.(ev.receiver) then begin
-      flow.presence.(ev.receiver) <- true;
-      let machine = flow.rxs.(ev.receiver).machine in
-      Array.iteri
-        (fun tg (k, size, round) ->
-          if
-            not
-              (Np_machine.Receiver.delivered machine ~tg
-              || Np_machine.Receiver.gave_up machine ~tg)
-          then
-            if flow.tg_exhausted.(tg) then
-              rx_event mux flow ~receiver:ev.receiver
-                (Np_machine.Packet_received (Header.Exhausted { tg_id = tg }))
-            else if round > 0 then
-              rx_event mux flow ~receiver:ev.receiver
-                (Np_machine.Packet_received (Header.Poll { tg_id = tg; k; size; round })))
-        flow.last_polls
-    end
+     Leave cancels the receiver's armed NAK timers (its machine keeps its
+     partial blocks — a flapper that rejoins resumes from what it had).
 
-let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [])
-    ~network ~rng ~data () =
-  validate_config config;
-  let c = config in
-  if Array.length data = 0 then invalid_arg "Np.run: no data";
-  Array.iter
-    (fun payload ->
-      if Bytes.length payload <> c.payload_size then
-        invalid_arg "Np.run: payload size mismatch")
-    data;
-  if start < 0.0 then invalid_arg "Np.run: negative start time";
-  if start < Engine.now mux.engine then invalid_arg "Np.run: start time in the past";
-  let receivers = Network.receivers network in
-  List.iter
-    (fun ev ->
-      if ev.receiver < 0 || ev.receiver >= receivers then
-        invalid_arg "Np.add_flow: churn receiver out of range";
-      if ev.at < start then invalid_arg "Np.add_flow: churn event before the flow starts")
-    churn;
-  let mc = machine_config c in
-  let sender = Np_machine.Sender.create mc ~data in
-  let total = Array.length data in
-  let expected =
-    List.init (Np_machine.Sender.tg_count sender) (fun i ->
-        (i, min c.k (total - (i * c.k))))
-  in
-  (* All receiver machines share the flow's RNG for NAK damping, exactly
-     like the pre-sans-IO machine did — one draw per armed timer, in
-     delivery order. *)
-  let rand () = Rng.float rng in
-  let rxs =
-    Array.init receivers (fun _ ->
-        {
-          machine = Np_machine.Receiver.create ~expected mc ~rand;
-          timers = Hashtbl.create 8;
-        })
-  in
-  let controller =
-    match c.controller with
-    | `Static -> None
-    | (`Ewma | `Gilbert_aware) as kind ->
-      Some
-        (Controller.create ~kind ~k:c.k ~h:c.h ~proactive:c.proactive ~receivers
-           ~pacing:c.spacing ())
-  in
-  (* A receiver whose earliest churn event is a Join is a late joiner: it
-     starts outside the delivery set. *)
-  let presence = Array.make receivers true in
-  let earliest = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match Hashtbl.find_opt earliest ev.receiver with
-      | Some (at, _) when at <= ev.at -> ()
-      | _ -> Hashtbl.replace earliest ev.receiver (ev.at, ev.action))
-    churn;
-  Hashtbl.iter
-    (fun receiver (_, action) -> if action = `Join then presence.(receiver) <- false)
-    earliest;
-  let tg_count = Np_machine.Sender.tg_count sender in
-  let flow =
-    {
-      config = c;
-      network;
-      sender;
-      rxs;
-      receivers;
-      recorder;
-      started_at = start;
-      controller;
-      applied = { Controller.proactive = min c.proactive c.h; budget = c.h };
-      presence;
-      completed_at = Array.make receivers None;
-      last_polls = Array.make tg_count (0, 0, 0);
-      tg_exhausted = Array.make tg_count false;
-      in_ready = false;
-      finished_at = start;
-      ejected_rev = [];
-      intact = true;
-    }
-  in
-  List.iter
-    (fun ev -> ignore (Engine.at mux.engine ev.at (fun () -> apply_churn mux flow ev)))
-    churn;
-  ignore (Engine.at mux.engine start (fun () -> wake mux flow));
-  flow
+     Join replays the sender's current control state at the newcomer: for
+     every unresolved TG it has seen a poll for, the latest poll (so the
+     joiner NAKs into the normal repair path and catches up from parities —
+     slotting and suppression apply exactly as for any other receiver), or
+     EXHAUSTED if the TG's budget is already spent (the joiner gives up at
+     once instead of NAKing into a void the sender would ignore).  Both are
+     ordinary machine events, so they are recorded and replay verbatim. *)
+  let apply_churn mux flow ev =
+    match ev.action with
+    | `Leave ->
+      if flow.presence.(ev.receiver) then begin
+        flow.presence.(ev.receiver) <- false;
+        let rxd = flow.rxs.(ev.receiver) in
+        Hashtbl.iter (fun _tg timer -> Engine.cancel timer) rxd.timers;
+        Hashtbl.reset rxd.timers;
+        touch mux flow
+      end
+    | `Join ->
+      if not flow.presence.(ev.receiver) then begin
+        flow.presence.(ev.receiver) <- true;
+        let machine = rx_machine flow.rxs.(ev.receiver) in
+        Array.iteri
+          (fun tg (k, size, round) ->
+            if
+              not
+                (Np_machine.Receiver.delivered machine ~tg
+                || Np_machine.Receiver.gave_up machine ~tg)
+            then
+              if flow.tg_exhausted.(tg) then
+                rx_event mux flow ~receiver:ev.receiver
+                  (Np_machine.Packet_received (Header.Exhausted { tg_id = tg }))
+              else if round > 0 then
+                rx_event mux flow ~receiver:ev.receiver
+                  (Np_machine.Packet_received (Header.Poll { tg_id = tg; k; size; round })))
+          flow.last_polls
+      end
 
-let started_at flow = flow.started_at
-let finished_at flow = flow.finished_at
+  let add_flow mux ?(config = default_config) ?(start = 0.0) ?recorder ?(churn = [])
+      ~network ~rng ~data () =
+    validate_config config;
+    let c = config in
+    if Array.length data = 0 then invalid_arg "Np.run: no data";
+    Array.iter
+      (fun payload ->
+        if Bytes.length payload <> c.payload_size then
+          invalid_arg "Np.run: payload size mismatch")
+      data;
+    if start < 0.0 then invalid_arg "Np.run: negative start time";
+    if start < Engine.now mux.engine then invalid_arg "Np.run: start time in the past";
+    let receivers = Network.receivers network in
+    List.iter
+      (fun ev ->
+        if ev.receiver < 0 || ev.receiver >= receivers then
+          invalid_arg "Np.add_flow: churn receiver out of range";
+        if ev.at < start then invalid_arg "Np.add_flow: churn event before the flow starts")
+      churn;
+    let profile = profile_of_config c in
+    let sender = Np_driver.Sender.create ?recorder ~actor:"s0" ~receivers profile ~data in
+    let tg_count = Np_machine.Sender.tg_count (Np_driver.Sender.machine sender) in
+    let expected = Np_driver.expected ~k:c.k data in
+    (* All receiver machines share the flow's RNG for NAK damping, exactly
+       like the pre-sans-IO machine did — one draw per armed timer, in
+       delivery order. *)
+    let rand () = Rng.float rng in
+    let rxs =
+      Array.init receivers (fun r ->
+          {
+            machine =
+              Np_driver.Receiver.create ?recorder ~actor:("r" ^ string_of_int r) ~expected
+                profile ~rand;
+            timers = Hashtbl.create 8;
+          })
+    in
+    (* A receiver whose earliest churn event is a Join is a late joiner: it
+       starts outside the delivery set. *)
+    let presence = Array.make receivers true in
+    let earliest = Hashtbl.create 8 in
+    List.iter
+      (fun ev ->
+        match Hashtbl.find_opt earliest ev.receiver with
+        | Some (at, _) when at <= ev.at -> ()
+        | _ -> Hashtbl.replace earliest ev.receiver (ev.at, ev.action))
+      churn;
+    Hashtbl.iter
+      (fun receiver (_, action) -> if action = `Join then presence.(receiver) <- false)
+      earliest;
+    let flow =
+      {
+        config = c;
+        network;
+        sender;
+        rxs;
+        receivers;
+        started_at = start;
+        population = None;
+        presence;
+        completed_at = Array.make receivers None;
+        last_polls = Array.make tg_count (0, 0, 0);
+        tg_exhausted = Array.make tg_count false;
+        in_ready = false;
+        finished_at = start;
+        ejected_rev = [];
+        intact = true;
+      }
+    in
+    List.iter
+      (fun ev -> ignore (Engine.at mux.engine ev.at (fun () -> apply_churn mux flow ev)))
+      churn;
+    ignore (Engine.at mux.engine start (fun () -> wake mux flow));
+    flow
 
-(* Completion and delivery verdicts cover the survivors: receivers absent
-   when asked (left, or joined-and-left) are not waited for.  With no
-   churn every receiver is present and both predicates read exactly as
-   they always did. *)
-let flow_complete flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
-  let all = ref true in
-  Array.iteri
-    (fun r rxd ->
-      if flow.presence.(r) then
-        for tg = 0 to tg_count - 1 do
-          if
-            not
-              (Np_machine.Receiver.delivered rxd.machine ~tg
-              || Np_machine.Receiver.gave_up rxd.machine ~tg)
-          then all := false
-        done)
-    flow.rxs;
-  !all
+  let attach_population flow population =
+    if Option.is_some flow.population then
+      invalid_arg "Np.Mux.attach_population: already attached";
+    flow.population <- Some population
 
-let flow_report flow =
-  let tg_count = Np_machine.Sender.tg_count flow.sender in
-  let sum f = Array.fold_left (fun acc rxd -> acc + f rxd.machine) 0 flow.rxs in
-  let all_delivered =
+  let started_at flow = flow.started_at
+  let finished_at flow = flow.finished_at
+
+  (* Completion and delivery verdicts cover the survivors: receivers absent
+     when asked (left, or joined-and-left) are not waited for.  With no
+     churn every receiver is present and both predicates read exactly as
+     they always did. *)
+  (* [resolved machine ~tg] holds for every (present receiver, TG) pair. *)
+  let every_present flow resolved =
+    let tg_count = Np_machine.Sender.tg_count (sender_machine flow) in
     let all = ref true in
     Array.iteri
       (fun r rxd ->
         if flow.presence.(r) then
           for tg = 0 to tg_count - 1 do
-            if not (Np_machine.Receiver.delivered rxd.machine ~tg) then all := false
+            if not (resolved (rx_machine rxd) ~tg) then all := false
           done)
       flow.rxs;
     !all
-  in
-  {
-    config = flow.config;
-    receivers = flow.receivers;
-    transmission_groups = tg_count;
-    data_tx = Np_machine.Sender.data_tx flow.sender;
-    parity_tx = Np_machine.Sender.parity_tx flow.sender;
-    polls = Np_machine.Sender.polls flow.sender;
-    naks_sent = sum Np_machine.Receiver.naks_sent;
-    naks_suppressed = sum Np_machine.Receiver.naks_suppressed;
-    parities_encoded = Np_machine.Sender.parities_encoded flow.sender;
-    packets_decoded = sum Np_machine.Receiver.packets_decoded;
-    unnecessary_receptions = sum Np_machine.Receiver.unnecessary;
-    ejected = List.rev flow.ejected_rev;
-    duration = flow.finished_at;
-    delivered_intact = flow.intact && all_delivered;
-  }
 
-module Mux = struct
-  type t = mux
-  type nonrec flow = flow
-  type nonrec churn_event = churn_event = {
-    receiver : int;
-    at : float;
-    action : [ `Join | `Leave ];
-  }
+  let complete flow =
+    every_present flow (fun m ~tg ->
+        Np_machine.Receiver.delivered m ~tg || Np_machine.Receiver.gave_up m ~tg)
 
-  let create = create
-  let engine = engine
-  let add_flow = add_flow
-  let started_at = started_at
-  let finished_at = finished_at
-  let complete = flow_complete
-  let report = flow_report
+  let report flow =
+    let sender = sender_machine flow in
+    let sum f = Array.fold_left (fun acc rxd -> acc + f (rx_machine rxd)) 0 flow.rxs in
+    {
+      config = flow.config;
+      receivers = flow.receivers;
+      transmission_groups = Np_machine.Sender.tg_count sender;
+      data_tx = Np_machine.Sender.data_tx sender;
+      parity_tx = Np_machine.Sender.parity_tx sender;
+      polls = Np_machine.Sender.polls sender;
+      naks_sent = sum Np_machine.Receiver.naks_sent;
+      naks_suppressed = sum Np_machine.Receiver.naks_suppressed;
+      parities_encoded = Np_machine.Sender.parities_encoded sender;
+      packets_decoded = sum Np_machine.Receiver.packets_decoded;
+      unnecessary_receptions = sum Np_machine.Receiver.unnecessary;
+      ejected = List.rev flow.ejected_rev;
+      duration = flow.finished_at;
+      delivered_intact = flow.intact && every_present flow Np_machine.Receiver.delivered;
+    }
+
   let run t = Engine.run t.engine
-  let retunes flow = Np_machine.Sender.retunes flow.sender
-  let tuning flow = Np_machine.Sender.tuning flow.sender
+  let retunes flow = Np_machine.Sender.retunes (sender_machine flow)
+  let tuning flow = Np_machine.Sender.tuning (sender_machine flow)
 
   let present flow ~receiver =
     if receiver < 0 || receiver >= flow.receivers then invalid_arg "Np.Mux.present";
@@ -581,14 +516,14 @@ module Mux = struct
   let controller_estimates flow =
     Option.map
       (fun c -> (Controller.p_hat c, Controller.m_hat c, Controller.burst_hat c))
-      flow.controller
+      (Np_driver.Sender.controller flow.sender)
 end
 
 let run ?(config = default_config) ?(start = 0.0) ~network ~rng ~data () =
   let engine = Engine.create () in
-  let mux = create engine in
-  let flow = add_flow mux ~config ~start ~network ~rng ~data () in
+  let mux = Mux.create engine in
+  let flow = Mux.add_flow mux ~config ~start ~network ~rng ~data () in
   Engine.run engine;
   (* Preserve the historical duration definition: virtual time when the
      event queue drained, not just this flow's last touch. *)
-  { (flow_report flow) with duration = Engine.now engine }
+  { (Mux.report flow) with duration = Engine.now engine }

@@ -24,10 +24,16 @@
     assumption "NAKs are never lost"; data and parity packets suffer the
     network's loss process.
 
-    The machine is reentrant: {!Mux} multiplexes any number of independent
-    transfers ({e flows}) over one virtual-time engine, arbitrating the
-    shared send slot round-robin.  {!run} is the single-flow convenience
-    wrapper. *)
+    The protocol decisions live in the sans-IO {!Np_machine}; this module
+    is its one virtual-time interpreter.  {!Mux} multiplexes any number of
+    independent transfers ({e flows}) over one {!Rmc_sim.Engine},
+    arbitrating the shared send slot round-robin, and binds each machine
+    through the {!Np_driver} glue it shares with the socket interpreter
+    ({!Rmc_transport.Udp_np}): recorder-wrapped handles and the adaptive
+    controller's observations and retunes.  The aggregate tier
+    ({!Np_aggregate}) runs on this same loop, attaching its count-vector
+    remainder through the {!Mux.population} hook.  {!run} is the
+    single-flow convenience wrapper. *)
 
 type config = {
   k : int;  (** TG size *)
@@ -78,7 +84,10 @@ val transmissions_per_packet : report -> float
 (** The E[M] estimate this run realises. *)
 
 val validate_config : config -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+(** The profile's rules ({!Rmc_core.Profile.validate} on
+    {!profile_of_config}, context ["Np"]) plus the medium's own: the
+    payload fits one datagram and [delay >= 0].
+    @raise Invalid_argument on the first violation. *)
 
 (** Multiplex several independent NP transfers over one shared engine.
 
@@ -177,6 +186,32 @@ module Mux : sig
   val controller_estimates : flow -> (float * float * float) option
   (** [(p_hat, m_hat, burst_hat)] of the adaptive controller, [None] under
       [`Static]. *)
+
+  (** {2 Population hook}
+
+      Receivers a flow does not hold as machines — the aggregate tier's
+      count-vector remainder ({!Np_aggregate}) — follow the transfer
+      through four callbacks.  Each runs at the packet's arrival time
+      ([delay] after it was sent), scheduled immediately after the tracked
+      receivers' arrivals of the same packet, so a population never
+      reorders the machines' events or their random draws. *)
+
+  type population = {
+    arrival : tg:int -> unit;  (** a DATA or PARITY packet of [tg] *)
+    poll : tg:int -> size:int -> round:int -> unit;
+    exhausted : tg:int -> unit;  (** [tg]'s repair budget is spent *)
+    overheard : tg:int -> need:int -> round:int -> unit;
+        (** a tracked receiver's multicast NAK *)
+  }
+
+  val attach_population : flow -> population -> unit
+  (** Attach the hooks before the flow starts.
+      @raise Invalid_argument if the flow already has a population. *)
+
+  val inject_nak : t -> flow -> tg:int -> need:int -> round:int -> unit
+  (** A NAK from the population, multicast now: it reaches the sender as
+      feedback and every present tracked receiver (for suppression) after
+      [delay], exactly like a tracked receiver's NAK. *)
 end
 
 val run :

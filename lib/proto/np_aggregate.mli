@@ -1,26 +1,26 @@
-(** The aggregate-tier NP interpreter: {!Np.Mux}'s virtual-time protocol
-    driver with the receiver population split into a small {e tracked
-    cohort} of exact {!Np_machine} instances plus an {e aggregate
-    remainder} held as a count-vector population ({!Rmc_sim.Aggregate}).
+(** The aggregate simulation tier: the receiver population split into a
+    small {e tracked cohort} of exact {!Np_machine} instances plus an
+    {e aggregate remainder} held as a count-vector population
+    ({!Rmc_sim.Aggregate}).
 
-    The cohort runs the identical code path as {!Np.Mux} — same engine
-    scheduling, same wire round-trips, same shared damping RNG — so with
-    [population = cohort size] this interpreter consumes the same random
-    draws in the same order and produces event-identical machine streams
-    (the equivalence contract, enforced by the aggregate test suite).  The
-    remainder participates through population-level hooks that never touch
-    the cohort's RNG:
+    The cohort is an ordinary {!Np.Mux} flow — the one virtual-time
+    interpreter — so with [population = cohort size] a run consumes the
+    same random draws in the same order as the exact tier and produces
+    event-identical machine streams (the equivalence contract, enforced by
+    the aggregate test suite).  The remainder rides the flow's
+    {!Np.Mux.population} hook, drawing only from its own split RNG stream:
 
-    - every DATA/PARITY multicast binomially thins the remainder's deficit
-      classes at its arrival time;
-    - every POLL arms one {e virtual} NAK timer per TG at the offset the
-      remainder's first-firing receiver would draw (deterministic slot from
-      the maximum deficit, damping = minimum of c iid uniforms by
-      inversion); overhearing an equal-or-greater NAK suppresses it,
-      exactly like the machine's rule;
-    - a firing virtual timer feeds the sender the remainder's maximum
-      deficit — what the first real NAK of that class would carry — and
-      multicasts the NAK to the cohort.
+    - every DATA/PARITY arrival binomially thins the remainder's deficit
+      classes;
+    - every POLL arrival arms one {e virtual} NAK timer per TG at the
+      offset the remainder's first-firing receiver would draw
+      (deterministic slot from the maximum deficit, damping = minimum of c
+      iid uniforms by inversion); overhearing a cohort NAK of equal or
+      greater need suppresses it, exactly like the machine's rule;
+    - a firing virtual timer injects a NAK carrying the remainder's
+      maximum deficit — what the first real NAK of that class would carry
+      — to the sender and the cohort;
+    - an EXHAUSTED arrival ejects the receivers still missing packets.
 
     Transmission counts, repair rounds and deficits are thereby exact in
     distribution for iid channels; per-round NAK tallies on the aggregate
@@ -68,9 +68,8 @@ val check_config : Np.config -> (unit, Rmc_core.Error.t) result
     {!Mux.add_flow} raises [Invalid_argument] with exactly
     [Rmc_core.Error.to_string] of this error. *)
 
-(** Multiplex aggregate-tier NP transfers over one shared engine; the
-    interface mirrors {!Np.Mux} with the population split described
-    above. *)
+(** Aggregate-tier flows on an {!Np.Mux}; the interface mirrors
+    {!Np.Mux} with the population split described above. *)
 module Mux : sig
   type t
   type flow

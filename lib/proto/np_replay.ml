@@ -139,11 +139,7 @@ let replay recorder =
        UDP driver registers them. *)
     let expected =
       List.concat
-        (List.init nsessions (fun sid ->
-             let total = Array.length sessions.(sid) in
-             let tg_count = (total + k - 1) / k in
-             List.init tg_count (fun local ->
-                 (wire_tg ~sid local, min k (total - (local * k))))))
+        (List.init nsessions (fun sid -> Np_driver.expected ~k ~tg:(wire_tg ~sid) sessions.(sid)))
     in
     let machines : (string, machine) Hashtbl.t = Hashtbl.create 8 in
     let machine_of actor =

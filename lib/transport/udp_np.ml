@@ -4,12 +4,11 @@ module Buffer_pool = Rmc_pool.Buffer_pool
 module Metrics = Rmc_obs.Metrics
 module Trace = Rmc_obs.Trace
 module Fault = Rmc_obs.Fault
-module Recorder = Rmc_obs.Recorder
 module Profile = Rmc_core.Profile
 module Error = Rmc_core.Error
 module Np_machine = Rmc_proto.Np_machine
 module Np_replay = Rmc_proto.Np_replay
-module Controller = Rmc_control.Controller
+module Np_driver = Rmc_proto.Np_driver
 
 type transport = [ `Unicast | `Multicast ]
 
@@ -69,10 +68,6 @@ let profile_of_config c =
     codec = c.codec;
     controller = c.controller;
   }
-
-let machine_config c =
-  { Np_machine.k = c.k; h = c.h; proactive = c.proactive; pre_encode = false;
-    slot = c.slot; codec = c.codec }
 
 type report = {
   receivers : int;
@@ -146,7 +141,7 @@ let receiver_machine_seed ~seed ~id = seed + (id * 7919) + 104729
 (* A UDP datagram cannot exceed 64 KiB, so receive buffers of this size
    per socket and one pool of buffers this size per engine (send) cover
    every packet the protocol can produce. *)
-let max_datagram = 65536
+let max_datagram = Np_driver.max_datagram
 
 (* The largest UDP payload the kernel accepts in one datagram (65535 minus
    IP and UDP headers): the budget a coalesced frame must fit. *)
@@ -198,9 +193,6 @@ let send_slice net packet off len destination =
     | Some trace -> Trace.record ~detail:(Unix.error_message err) trace "udp.tx_error"
     | None -> ())
 
-let send_bytes net packet destination =
-  send_slice net packet 0 (Bytes.length packet) destination
-
 (* Walk a datagram that may be a coalesced frame: several consecutive
    encoded messages, each self-delimited by its header's length field.  A
    boundary that cannot be established (bad magic after a valid prefix,
@@ -221,37 +213,25 @@ let walk_frame ?on_decode_error buffer ~len ~from handle =
   in
   go 0
 
-let drain ?on_decode_error ~scratch socket handle =
-  let rec loop () =
-    match retry_eintr (fun () -> Unix.recvfrom socket scratch 0 (Bytes.length scratch) [])
-    with
-    | length, from ->
-      walk_frame ?on_decode_error scratch ~len:length ~from handle;
-      loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
-      (* ICMP port-unreachable bounce from a peer that closed; ignore. *)
-      loop ()
-  in
-  loop ()
-
 (* Ring-based drain: up to [slots] queued datagrams per syscall.  A drain
    that fills every slot loops (more may be queued); a partial fill means
    the socket is dry — no trailing empty recv syscall. *)
-let drain_socket ?on_decode_error net handle =
+let drain ?on_decode_error ?syscalls ?datagrams ring socket handle =
   let rec loop () =
-    Metrics.incr net.syscalls_rx;
-    let n = Udp_batch.recv_batch net.ring net.socket in
+    (match syscalls with Some c -> Metrics.incr c | None -> ());
+    let n = Udp_batch.recv_batch ring socket in
     for i = 0 to n - 1 do
-      Metrics.incr net.datagrams_rx;
-      walk_frame ?on_decode_error (Udp_batch.slot net.ring i)
-        ~len:(Udp_batch.slot_len net.ring i)
-        ~from:(Udp_batch.slot_from net.ring i)
-        handle
+      (match datagrams with Some c -> Metrics.incr c | None -> ());
+      walk_frame ?on_decode_error (Udp_batch.slot ring i) ~len:(Udp_batch.slot_len ring i)
+        ~from:(Udp_batch.slot_from ring i) handle
     done;
-    if n = Udp_batch.slots net.ring then loop ()
+    if n = Udp_batch.slots ring then loop ()
   in
   loop ()
+
+let drain_socket ?on_decode_error net handle =
+  drain ?on_decode_error ~syscalls:net.syscalls_rx ~datagrams:net.datagrams_rx net.ring
+    net.socket handle
 
 (* --- sender ----------------------------------------------------------- *)
 
@@ -266,11 +246,8 @@ type sender = {
   net : net;
   pool : Buffer_pool.t;
   group : Unix.sockaddr list;
-  machine : Np_machine.Sender.t;
-  controller : Controller.t option;  (* None iff config.controller = `Static *)
-  mutable applied : Controller.decision;  (* last decision fed as Retune *)
+  driver : Np_driver.Sender.t;  (* the machine, its capture tap and its controller *)
   shim : Fault.t option;
-  recorder : Recorder.t option;
   mutable sending : bool;
   c_data : Metrics.counter;
   c_parity : Metrics.counter;
@@ -280,7 +257,7 @@ type sender = {
   c_rounds : Metrics.counter;
 }
 
-let sender_actor sender = "s" ^ string_of_int sender.sid
+let sender_machine sender = Np_driver.Sender.machine sender.driver
 
 (* One frame of a tick's batch: a pooled buffer accumulating sealed
    messages back to back, and whether the fault shim applies (it only sees
@@ -353,7 +330,8 @@ let sender_flush sender batch =
              (fun destination ->
                Fault.apply shim ~now
                  ~defer:(fun delay thunk -> ignore (Reactor.after sender.reactor delay thunk))
-                 ~send:(fun bytes -> send_bytes sender.net bytes destination)
+                 ~send:(fun bytes ->
+                   send_slice sender.net bytes 0 (Bytes.length bytes) destination)
                  packet)
              sender.group
          end
@@ -383,19 +361,8 @@ let sender_flush sender batch =
     end;
     List.iter (fun frame -> Buffer_pool.release sender.pool frame.buf) batch
 
-let sender_handle sender event =
-  (match sender.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(sender_actor sender) (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Sender.handle sender.machine event in
-  (match sender.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(sender_actor sender) (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
+(* The machine's own traces join the driver's trace ring. *)
+let sender_trace sender effects =
   (match sender.net.trace with
   | Some trace ->
     List.iter
@@ -404,34 +371,10 @@ let sender_handle sender event =
   | None -> ());
   effects
 
-(* Apply the controller's current decision when it differs from the last
-   one fed to the machine.  Routed through {!sender_handle} so the Retune
-   event lands in the capture — replay stays deterministic without ever
-   re-running the controller. *)
-let maybe_retune sender =
-  match sender.controller with
-  | None -> ()
-  | Some controller ->
-    let d = Controller.decision controller in
-    if not (Controller.decision_equal d sender.applied) then begin
-      sender.applied <- d;
-      ignore
-        (sender_handle sender
-           (Np_machine.Retune
-              { proactive = d.Controller.proactive; budget = d.Controller.budget }))
-    end
-
-let sender_observe_poll sender message =
-  match (sender.controller, message) with
-  | Some controller, Header.Poll { tg_id; k; size; round } ->
-    Controller.observe_poll controller ~tg:tg_id ~k ~size ~round
-  | _ -> ()
-
 let rec sender_pump sender =
-  if not (Np_machine.Sender.pending sender.machine) then sender.sending <- false
+  if not (Np_machine.Sender.pending (sender_machine sender)) then sender.sending <- false
   else begin
-    maybe_retune sender;
-    let effects = sender_handle sender Np_machine.Tick in
+    let effects = sender_trace sender (Np_driver.Sender.tick sender.driver) in
     (* Drain every Send effect of the tick into pooled frames, then flush
        them in one batched pass. *)
     let batch, delay =
@@ -446,9 +389,9 @@ let rec sender_pump sender =
             | Header.Parity _ ->
               Metrics.incr sender.c_parity;
               (sender_enqueue sender batch message, sender.config.spacing)
-            | Header.Poll _ ->
+            | Header.Poll { tg_id; k; size; round } ->
               Metrics.incr sender.c_poll;
-              sender_observe_poll sender message;
+              Np_driver.Sender.observe_poll sender.driver ~tg:tg_id ~k ~size ~round;
               (sender_enqueue sender batch message, acc)
             | Header.Exhausted _ ->
               Metrics.incr sender.c_exhausted;
@@ -471,28 +414,17 @@ let sender_wake sender =
 
 let sender_handle_nak sender ~tg_id ~need ~round =
   Metrics.incr sender.c_naks_rx;
-  (match sender.controller with
-  | Some controller -> Controller.observe_nak controller ~tg:tg_id ~need ~round
-  | None -> ());
-  let before = Np_machine.Sender.repair_rounds sender.machine in
-  ignore (sender_handle sender (Np_machine.Feedback { tg = tg_id; need; round }));
-  if Np_machine.Sender.repair_rounds sender.machine > before then
-    Metrics.incr sender.c_rounds;
-  if Np_machine.Sender.pending sender.machine then sender_wake sender
+  let machine = sender_machine sender in
+  let before = Np_machine.Sender.repair_rounds machine in
+  ignore (sender_trace sender (Np_driver.Sender.feedback sender.driver ~tg:tg_id ~need ~round));
+  if Np_machine.Sender.repair_rounds machine > before then Metrics.incr sender.c_rounds;
+  if Np_machine.Sender.pending machine then sender_wake sender
 
 (* [metrics] is already scoped per session by the caller; the NAK handler
    for the shared socket lives with the driver, not here, because many
    senders share one socket. *)
 let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metrics ~shim
     ~recorder =
-  let controller =
-    match (config : config).controller with
-    | `Static -> None
-    | (`Ewma | `Gilbert_aware) as kind ->
-      Some
-        (Controller.create ~kind ~k:config.k ~h:config.h ~proactive:config.proactive
-           ~receivers ~pacing:config.spacing ())
-  in
   let sender =
     {
       sid;
@@ -501,11 +433,10 @@ let create_sender reactor ~net ~pool ~group ~config ~sid ~data ~receivers ~metri
       net;
       pool;
       group;
-      machine = Np_machine.Sender.create (machine_config config) ~data;
-      controller;
-      applied = { Controller.proactive = min config.proactive config.h; budget = config.h };
+      driver =
+        Np_driver.Sender.create ?recorder ~actor:("s" ^ string_of_int sid) ~receivers
+          (profile_of_config config) ~data;
       shim;
-      recorder;
       sending = false;
       c_data = Metrics.counter metrics "tx.data";
       c_parity = Metrics.counter metrics "tx.parity";
@@ -535,9 +466,8 @@ type receiver = {
          the group address (multicast mode) *)
   loss_rng : Rng.t;  (* reception-loss injection (driver-side, not replayed) *)
   loss : float;
-  machine : Np_machine.Receiver.t;
+  driver : Np_driver.Receiver.t;  (* the machine and its capture tap *)
   timers : (int, Reactor.timer) Hashtbl.t;  (* armed NAK timers, by wire tg *)
-  recorder : Recorder.t option;
   on_tg_complete : int -> Bytes.t array -> unit;
   on_ejected : int -> unit;
   mutable dropped : int;
@@ -554,24 +484,10 @@ type receiver = {
   c_duplicates : Metrics.counter;
 }
 
-let receiver_actor receiver = "r" ^ string_of_int receiver.id
+let receiver_machine receiver = Np_driver.Receiver.machine receiver.driver
 
 let rec receiver_handle receiver event =
-  (match receiver.recorder with
-  | Some r ->
-    Recorder.record_event r ~actor:(receiver_actor receiver)
-      (Np_machine.event_to_string event)
-  | None -> ());
-  let effects = Np_machine.Receiver.handle receiver.machine event in
-  (match receiver.recorder with
-  | Some r ->
-    List.iter
-      (fun e ->
-        Recorder.record_effect r ~actor:(receiver_actor receiver)
-          (Np_machine.effect_to_string e))
-      effects
-  | None -> ());
-  List.iter (receiver_apply receiver) effects
+  List.iter (receiver_apply receiver) (Np_driver.Receiver.handle receiver.driver event)
 
 and receiver_apply receiver effect =
   match effect with
@@ -607,17 +523,30 @@ and receiver_apply receiver effect =
     | None -> ())
   | Np_machine.Send _ | Np_machine.Done -> ()
 
-(* Data/parity reception: bump the metric mirroring the machine's internal
-   duplicate count, which only the machine can classify. *)
-let receiver_feed_payload receiver message =
-  let before = Np_machine.Receiver.duplicates receiver.machine in
-  receiver_handle receiver (Np_machine.Packet_received message);
-  if Np_machine.Receiver.duplicates receiver.machine > before then
-    Metrics.incr receiver.c_duplicates
+(* Data/parity reception: the injected reception loss decides first
+   (driver-side, never replayed); a kept packet reaches the machine, and
+   the duplicate metric mirrors the machine's own count, which only the
+   machine can classify. *)
+let receiver_feed_payload receiver counter message =
+  Metrics.incr counter;
+  if Rng.bernoulli receiver.loss_rng receiver.loss then begin
+    receiver.dropped <- receiver.dropped + 1;
+    Metrics.incr receiver.c_loss_drop
+  end
+  else begin
+    let before = Np_machine.Receiver.duplicates (receiver_machine receiver) in
+    receiver_handle receiver (Np_machine.Packet_received message);
+    if Np_machine.Receiver.duplicates (receiver_machine receiver) > before then
+      Metrics.incr receiver.c_duplicates
+  end
 
 let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_addr ~config
     ~seed ~loss ~id ~metrics ~expected ~recorder ~on_tg_complete ~on_ejected =
   let machine_rng = Rng.create ~seed:(receiver_machine_seed ~seed ~id) () in
+  let driver =
+    Np_driver.Receiver.create ?recorder ~actor:("r" ^ string_of_int id) ~expected
+      (profile_of_config config) ~rand:(fun () -> Rng.float machine_rng)
+  in
   let receiver =
     {
       id;
@@ -630,11 +559,8 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
       nak_peers;
       loss_rng = Rng.create ~seed:(seed + (id * 7919)) ();
       loss;
-      machine =
-        Np_machine.Receiver.create ~expected (machine_config config) ~rand:(fun () ->
-            Rng.float machine_rng);
+      driver;
       timers = Hashtbl.create 16;
-      recorder;
       on_tg_complete;
       on_ejected;
       dropped = 0;
@@ -664,29 +590,17 @@ let create_receiver reactor ~net ~tx_net ~self_addr ~nak_peers ~pool ~sender_add
           if not own_echo then begin
             let from_sender = from = receiver.sender_addr in
             match message with
-            | Header.Data _ ->
-              Metrics.incr receiver.c_data;
-              if Rng.bernoulli receiver.loss_rng receiver.loss then begin
-                receiver.dropped <- receiver.dropped + 1;
-                Metrics.incr receiver.c_loss_drop
-              end
-              else receiver_feed_payload receiver message
-            | Header.Parity _ ->
-              Metrics.incr receiver.c_parity;
-              if Rng.bernoulli receiver.loss_rng receiver.loss then begin
-                receiver.dropped <- receiver.dropped + 1;
-                Metrics.incr receiver.c_loss_drop
-              end
-              else receiver_feed_payload receiver message
+            | Header.Data _ -> receiver_feed_payload receiver receiver.c_data message
+            | Header.Parity _ -> receiver_feed_payload receiver receiver.c_parity message
             | Header.Poll _ ->
               Metrics.incr receiver.c_poll;
               receiver_handle receiver (Np_machine.Packet_received message)
             | Header.Nak _ ->
               if not from_sender then begin
                 Metrics.incr receiver.c_naks_overheard;
-                let before = Np_machine.Receiver.naks_suppressed receiver.machine in
+                let before = Np_machine.Receiver.naks_suppressed (receiver_machine receiver) in
                 receiver_handle receiver (Np_machine.Packet_received message);
-                if Np_machine.Receiver.naks_suppressed receiver.machine > before then
+                if Np_machine.Receiver.naks_suppressed (receiver_machine receiver) > before then
                   Metrics.incr receiver.c_suppressed
               end
             | Header.Exhausted _ ->
@@ -717,7 +631,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   (match recorder with
   | Some r ->
     Np_replay.record_setup r ~controller:config.controller
-      ~config:(machine_config config) ~payload_size:config.payload_size ~receivers
+      ~config:(Np_driver.machine_config (profile_of_config config))
+      ~payload_size:config.payload_size ~receivers
       ~sessions
       ~rx_seeds:(Array.init receivers (fun id -> receiver_machine_seed ~seed ~id))
       ()
@@ -800,10 +715,7 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
       (Array.to_list
          (Array.mapi
             (fun index data ->
-              let total = Array.length data in
-              List.init tg_counts.(index) (fun local ->
-                  ( wire_tg_unchecked ~sid:sids.(index) local,
-                    min config.k (total - (local * config.k)) )))
+              Np_driver.expected ~k:config.k ~tg:(wire_tg_unchecked ~sid:sids.(index)) data)
             sessions))
   in
 
@@ -932,9 +844,9 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
         {
           session = sids.(index);
           transmission_groups = tg_counts.(index);
-          data_tx = Np_machine.Sender.data_tx senders.(index).machine;
-          parity_tx = Np_machine.Sender.parity_tx senders.(index).machine;
-          polls = Np_machine.Sender.polls senders.(index).machine;
+          data_tx = Np_machine.Sender.data_tx (sender_machine senders.(index));
+          parity_tx = Np_machine.Sender.parity_tx (sender_machine senders.(index));
+          polls = Np_machine.Sender.polls (sender_machine senders.(index));
           completed;
           verified = verified.(index) && completed = receivers;
           ejected = List.rev ejected.(index);
@@ -944,8 +856,8 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
   {
     receivers;
     session_reports;
-    naks_sent = sum_rx (fun r -> Np_machine.Receiver.naks_sent r.machine);
-    naks_suppressed = sum_rx (fun r -> Np_machine.Receiver.naks_suppressed r.machine);
+    naks_sent = sum_rx (fun r -> Np_machine.Receiver.naks_sent (receiver_machine r));
+    naks_suppressed = sum_rx (fun r -> Np_machine.Receiver.naks_suppressed (receiver_machine r));
     datagrams_dropped = sum_rx (fun r -> r.dropped);
     decode_failures = sum_rx (fun r -> r.decode_failures);
     all_verified = Array.for_all (fun s -> s.verified) session_reports;
@@ -953,10 +865,14 @@ let run_engine ~config ~metrics ~trace ~recorder ~faults ~transport ~receivers ~
     counters = Metrics.counters metrics;
   }
 
+(* The protocol rules are the profile's ({!Profile.validate}); what is
+   checked here is the socket medium's own: the loss knob, the datagram
+   bound, the 16-bit sid/tg demux and the wall-clock knobs.  NaN fails
+   every comparison, so each test is phrased to reject it. *)
 let validate ~context ~config ~receivers ~loss ~sessions =
   if Array.exists (fun data -> Array.length data = 0) sessions || Array.length sessions = 0
   then Error.invalid_arg ~context "no data"
-  else if loss < 0.0 || loss >= 1.0 then Error.invalid_arg ~context "loss outside [0,1)"
+  else if not (loss >= 0.0 && loss < 1.0) then Error.invalid_arg ~context "loss outside [0,1)"
   else if
     Array.exists
       (fun data ->
@@ -964,23 +880,22 @@ let validate ~context ~config ~receivers ~loss ~sessions =
       sessions
   then Error.invalid_arg ~context "payload size mismatch"
   else if receivers < 1 then Error.invalid_arg ~context "need at least one receiver"
-  else if config.k < 1 || config.h < 0 then Error.invalid_arg ~context "need k >= 1 and h >= 0"
-  else if
-    config.h > Rmc_rse.Codec.max_repair (Rmc_rse.Codec.of_kind config.codec) ~k:config.k
-  then Error.invalid_arg ~context "repair budget exceeds the codec's index space"
-  else if config.payload_size > max_datagram - Header.header_size then
-    Error.invalid_arg ~context "payload does not fit a 64 KiB datagram"
-  else if config.controller <> `Static && config.h < 1 then
-    Error.invalid_arg ~context
-      "an adaptive controller needs a repair budget to retune (h = 0)"
-  else if Array.length sessions > 0x10000 then
-    Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
-  else if
-    Array.exists
-      (fun data -> (Array.length data + config.k - 1) / config.k > 0x10000)
-      sessions
-  then Error.invalid_arg ~context "too many transmission groups (wire tg is 16-bit)"
-  else Ok ()
+  else
+    match Profile.validate ~context (profile_of_config config) with
+    | Error _ as e -> e
+    | Ok _ ->
+      if config.payload_size > max_datagram - Header.header_size then
+        Error.invalid_arg ~context "payload does not fit a 64 KiB datagram"
+      else if not (config.linger >= 0.0 && config.session_timeout >= 0.0) then
+        Error.invalid_arg ~context "linger and session_timeout must be non-negative"
+      else if Array.length sessions > 0x10000 then
+        Error.invalid_arg ~context "too many sessions (wire sid is 16-bit)"
+      else if
+        Array.exists
+          (fun data -> (Array.length data + config.k - 1) / config.k > 0x10000)
+          sessions
+      then Error.invalid_arg ~context "too many transmission groups (wire tg is 16-bit)"
+      else Ok ()
 
 (* --- entry points ------------------------------------------------------ *)
 

@@ -110,22 +110,24 @@ val retry_eintr : (unit -> 'a) -> 'a
 
 val drain :
   ?on_decode_error:(unit -> unit) ->
-  scratch:Bytes.t ->
+  ?syscalls:Rmc_obs.Metrics.counter ->
+  ?datagrams:Rmc_obs.Metrics.counter ->
+  Udp_batch.recv ->
   Unix.file_descr ->
   (Rmc_wire.Header.message -> Unix.sockaddr -> unit) ->
   unit
-(** [drain ~scratch socket handle] reads every datagram queued on the
-    (non-blocking) [socket] and walks each as a coalesced frame: every
-    message is decoded in place with {!Rmc_wire.Header.decode_slice} and
-    passed to [handle message from].  [scratch] is the caller's reusable
-    recv buffer (at least {!max_datagram} bytes): each datagram is
-    overwritten by the next, and the only per-message allocations are the
-    decoded message and its payload copy.  A message that cannot be
+(** [drain ring socket handle] is the receive path every driver socket
+    uses: it reads every datagram queued on the (non-blocking) [socket]
+    through [ring], up to {!Udp_batch.slots} per [recvmmsg] call, and walks
+    each as a coalesced frame — every message is decoded in place with
+    {!Rmc_wire.Header.decode_slice} and passed to [handle message from].
+    The only per-message allocations are the decoded message and its
+    payload copy.  A datagram longer than the ring's buffers arrives
+    truncated and fails to delimit or validate.  A message that cannot be
     delimited ends that datagram's walk ([on_decode_error] once); one that
     delimits but fails validation (corrupted CRC) invokes
-    [on_decode_error] and the walk continues.  Exposed for the
-    allocation-regression and framing tests; the drivers drain through
-    per-socket [recvmmsg] rings with the same framing semantics. *)
+    [on_decode_error] and the walk continues.  [syscalls] counts each
+    receive call and [datagrams] each datagram read. *)
 
 val receiver_machine_seed : seed:int -> id:int -> int
 (** Seed of receiver [id]'s damping RNG, derived from the run [seed].

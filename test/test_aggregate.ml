@@ -110,6 +110,133 @@ let test_remainder_completes () =
   Alcotest.(check bool) "parities flowed" true (report.Np_aggregate.parity_tx > 0);
   Alcotest.(check bool) "aggregate NAKed" true (report.Np_aggregate.agg_naks_sent > 0)
 
+(* The remainder's draw order, pinned.  The cohort-equivalence test above
+   only covers an empty remainder; these runs put an aggregate remainder
+   behind a cohort of 32 and assert every report field and a digest of the
+   whole capture — the ["aggregate"] actor's virtual NAK and ejection lines
+   included — as literals.  The first row is the large-population regime
+   (the remainder always NAKs first); the second has a remainder no larger
+   than the cohort and a budget small enough that cohort NAKs are overheard
+   by the remainder and both sides eject.  Any change to when the
+   remainder's hooks run, or in what order they draw, moves a digest. *)
+type golden = {
+  g_population : int;
+  g_h : int;
+  g_p : float;
+  g_parity_tx : int;
+  g_polls : int;
+  g_cohort_naks : int * int; (* sent, suppressed *)
+  g_agg_naks : int * int;
+  g_decoded : int;
+  g_unnecessary : int * int; (* cohort, aggregate *)
+  g_cohort_ejected : (int * int) list;
+  g_agg_ejected : int;
+  g_agg_complete : int;
+  g_duration : string; (* %h *)
+  g_intact : bool;
+  g_entries : int;
+  g_aggregate_lines : int;
+  g_digest : string;
+}
+
+let goldens =
+  [
+    {
+      g_population = 20_000;
+      g_h = 40;
+      g_p = 0.01;
+      g_parity_tx = 11;
+      g_polls = 7;
+      g_cohort_naks = (0, 14);
+      g_agg_naks = (14, 10834);
+      g_decoded = 16;
+      g_unnecessary = (335, 205564);
+      g_cohort_ejected = [];
+      g_agg_ejected = 0;
+      g_agg_complete = 19_968;
+      g_duration = "0x1.0a0f513ad0dfep+1";
+      g_intact = true;
+      g_entries = 2931;
+      g_aggregate_lines = 4;
+      g_digest = "6aa40e8510bc9b785b9ed79b2b48d787";
+    };
+    {
+      g_population = 64;
+      g_h = 3;
+      g_p = 0.08;
+      g_parity_tx = 9;
+      g_polls = 6;
+      g_cohort_naks = (3, 75);
+      g_agg_naks = (4, 81);
+      g_decoded = 103;
+      g_unnecessary = (151, 135);
+      g_cohort_ejected = [ (11, 0); (23, 0); (4, 1); (17, 1); (4, 2); (10, 2) ];
+      g_agg_ejected = 9;
+      g_agg_complete = 32;
+      g_duration = "0x1.0396864fc02b4p+1";
+      g_intact = false;
+      g_entries = 3037;
+      g_aggregate_lines = 7;
+      g_digest = "aafeaaecda3d503ce4b300e295a2f06f";
+    };
+  ]
+
+let test_remainder_golden () =
+  List.iter
+    (fun g ->
+      let label = Printf.sprintf "population %d: %s" g.g_population in
+      let config = { Np.default_config with payload_size = 128; h = g.g_h } in
+      let rng = Rng.create ~seed:7 () in
+      let data = payloads rng ~count:60 ~size:config.Np.payload_size in
+      let network = Network.independent (Rng.split rng) ~receivers:32 ~p:g.g_p in
+      let recorder = Recorder.create () in
+      let mux = Np_aggregate.Mux.create (Rmcast.Engine.create ()) in
+      let flow =
+        Np_aggregate.Mux.add_flow mux ~config ~recorder ~cohort:32
+          ~channel:(Aggregate.bernoulli ~p:g.g_p) ~population:g.g_population ~network
+          ~rng:(Rng.split rng) ~data ()
+      in
+      Np_aggregate.Mux.run mux;
+      let r = Np_aggregate.Mux.report flow in
+      let capture = Buffer.create 65536 in
+      let aggregate_lines = ref 0 in
+      List.iter
+        (fun (e : Recorder.entry) ->
+          if e.Recorder.actor = "aggregate" then incr aggregate_lines;
+          Buffer.add_string capture
+            (Printf.sprintf "%c %s %s\n"
+               (match e.Recorder.kind with Recorder.Event -> 'E' | Recorder.Effect -> 'X')
+               e.Recorder.actor e.Recorder.body))
+        (Recorder.entries recorder);
+      let open Np_aggregate in
+      let int name = Alcotest.(check int) (label name) in
+      Alcotest.(check bool) (label "config") true (r.config = config);
+      int "population" g.g_population r.population;
+      int "cohort" 32 r.cohort;
+      int "transmission_groups" 3 r.transmission_groups;
+      int "data_tx" 60 r.data_tx;
+      int "parity_tx" g.g_parity_tx r.parity_tx;
+      int "polls" g.g_polls r.polls;
+      int "cohort_naks_sent" (fst g.g_cohort_naks) r.cohort_naks_sent;
+      int "cohort_naks_suppressed" (snd g.g_cohort_naks) r.cohort_naks_suppressed;
+      int "agg_naks_sent" (fst g.g_agg_naks) r.agg_naks_sent;
+      int "agg_naks_suppressed" (snd g.g_agg_naks) r.agg_naks_suppressed;
+      int "parities_encoded" g.g_parity_tx r.parities_encoded;
+      int "packets_decoded" g.g_decoded r.packets_decoded;
+      int "cohort_unnecessary" (fst g.g_unnecessary) r.cohort_unnecessary;
+      int "agg_unnecessary" (snd g.g_unnecessary) r.agg_unnecessary;
+      Alcotest.(check (list (pair int int)))
+        (label "cohort_ejected") g.g_cohort_ejected r.cohort_ejected;
+      int "agg_ejected" g.g_agg_ejected r.agg_ejected;
+      int "agg_complete" g.g_agg_complete r.agg_complete;
+      Alcotest.(check string) (label "duration") g.g_duration (Printf.sprintf "%h" r.duration);
+      Alcotest.(check bool) (label "delivered_intact") g.g_intact r.delivered_intact;
+      int "capture entries" g.g_entries (Recorder.length recorder);
+      int "aggregate lines" g.g_aggregate_lines !aggregate_lines;
+      Alcotest.(check string) (label "capture digest") g.g_digest
+        (Digest.to_hex (Digest.string (Buffer.contents capture))))
+    goldens
+
 (* --- tier-vs-analysis --------------------------------------------------- *)
 
 let test_extra_parities_expectation () =
@@ -307,4 +434,6 @@ let suite =
       test_volley_matches_thinning;
     Alcotest.test_case "Parallel.map" `Quick test_parallel_map;
     Alcotest.test_case "log-factorial memo grows once" `Quick test_log_factorial_memo;
+    Alcotest.test_case "remainder golden: report fields and capture digest" `Quick
+      test_remainder_golden;
   ]

@@ -131,11 +131,11 @@ let test_pooled_egress_byte_identity () =
 (* --- recv-loop allocation budget ----------------------------------------- *)
 
 let test_drain_alloc_budget () =
-  (* [Udp_np.drain] decodes straight out of the caller's scratch: per
-     datagram it may allocate the decoded message and its payload copy
-     (~140 words for a 1 KiB payload) and nothing datagram-sized.  The
-     seed driver's per-datagram 64 KiB scratch (amortized ~260 words
-     here) plus whole-datagram [Bytes.sub] (+130 words) blows this budget
+  (* [Udp_np.drain] decodes straight out of the recv ring's slots: per
+     datagram it may allocate the decoded message, its payload copy
+     (~140 words for a 1 KiB payload) and the source address, and nothing
+     datagram-sized.  A per-datagram 64 KiB scratch (amortized ~260 words
+     here) or a whole-datagram [Bytes.sub] (+130 words) blows this budget
      immediately — this is the regression gate for both. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
   Unix.set_nonblock b;
@@ -150,7 +150,7 @@ let test_drain_alloc_budget () =
     in
     ignore (Unix.send a dgram 0 (Bytes.length dgram) [])
   done;
-  let scratch = Bytes.create Udp_np.max_datagram in
+  let ring = Rmcast.Udp_batch.recv_create ~buf_size:Udp_np.max_datagram () in
   let received = ref 0 in
   let handle message _from =
     (match message with
@@ -158,7 +158,7 @@ let test_drain_alloc_budget () =
     | _ -> ())
   in
   let before = Gc.minor_words () in
-  Udp_np.drain ~scratch b handle;
+  Udp_np.drain ring b handle;
   let words = Gc.minor_words () -. before in
   Unix.close a;
   Unix.close b;

@@ -114,7 +114,16 @@ let test_np_validation () =
   Alcotest.check_raises "empty data" (Invalid_argument "Np.run: no data") (fun () ->
       ignore (Np.run ~network ~rng ~data:[||] ()));
   Alcotest.check_raises "payload mismatch" (Invalid_argument "Np.run: payload size mismatch")
-    (fun () -> ignore (Np.run ~network ~rng ~data:[| Bytes.make 5 'x' |] ()))
+    (fun () -> ignore (Np.run ~network ~rng ~data:[| Bytes.make 5 'x' |] ()));
+  (* The profile's rules apply, NaN included (every comparison with NaN
+     is false, so a [spacing <= 0.0] test would let it through). *)
+  let data = [| Bytes.make Np.default_config.Np.payload_size 'x' |] in
+  Alcotest.check_raises "NaN spacing" (Invalid_argument "Np: pacing must be positive (got nan)")
+    (fun () ->
+      ignore (Np.run ~config:{ Np.default_config with spacing = Float.nan } ~network ~rng ~data ()));
+  Alcotest.check_raises "negative delay" (Invalid_argument "Np: delay must be non-negative")
+    (fun () ->
+      ignore (Np.run ~config:{ Np.default_config with delay = -1.0 } ~network ~rng ~data ()))
 
 (* --- N2 --- *)
 

@@ -87,11 +87,11 @@ let test_frame_walk () =
   let second_off = Header.encoded_size (List.hd messages) in
   Bytes.set frame (second_off + 22) (Char.chr (Char.code (Bytes.get frame (second_off + 22)) lxor 0xFF));
   ignore (Unix.send a frame 0 offsets_len []);
-  let scratch = Bytes.create Udp.max_datagram in
+  let ring = Udp_batch.recv_create ~buf_size:Udp.max_datagram () in
   let decoded = ref [] and failures = ref 0 in
   Udp.drain
     ~on_decode_error:(fun () -> incr failures)
-    ~scratch b
+    ring b
     (fun message _from -> decoded := message :: !decoded);
   Unix.close a;
   Unix.close b;
@@ -105,9 +105,9 @@ let test_frame_walk () =
     (List.combine messages [ List.nth decoded 0; List.nth decoded 1; List.nth decoded 2 ])
 
 let test_drain_oversized_datagram () =
-  (* A datagram bigger than the recv scratch is truncated by the kernel;
-     the frame walk reports it undecodable and the drain moves on to the
-     next datagram instead of wedging or crashing. *)
+  (* A datagram bigger than the ring's slot buffers is truncated by the
+     kernel; the frame walk reports it undecodable and the drain moves on
+     to the next datagram instead of wedging or crashing. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
   Unix.set_nonblock b;
   let big =
@@ -116,11 +116,11 @@ let test_drain_oversized_datagram () =
   ignore (Unix.send a big 0 (Bytes.length big) []);
   let small = Header.encode (Header.Poll { tg_id = 7; k = 4; size = 4; round = 0 }) in
   ignore (Unix.send a small 0 (Bytes.length small) []);
-  let scratch = Bytes.create 128 in
+  let ring = Udp_batch.recv_create ~buf_size:128 () in
   let decoded = ref [] and failures = ref 0 in
   Udp.drain
     ~on_decode_error:(fun () -> incr failures)
-    ~scratch b
+    ring b
     (fun message _from -> decoded := message :: !decoded);
   Unix.close a;
   Unix.close b;
@@ -132,16 +132,20 @@ let test_drain_oversized_datagram () =
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_no_fd_leak_on_failed_run () =
-  (* Regression: a raise between socket creation and teardown (here the
-     machine constructor rejecting proactive > h after every socket
-     exists — a field run_local's upfront validate does not cover) used
-     to leak the whole socket set.  The engine now tracks each descriptor
-     from birth and closes them in one Fun.protect finalizer. *)
-  let failing = { config with proactive = config.h + 1; payload_size = 64 } in
+  (* Regression: a raise between socket creation and teardown used to leak
+     the whole socket set.  The engine now tracks each descriptor from
+     birth and closes them in one Fun.protect finalizer.  Every bad config
+     is rejected before the first socket exists, so the raise here comes
+     from the caller's trace clock, the first time a repair round is
+     traced — mid-run, with every socket open. *)
+  let trace = Rmcast.Event_trace.create ~clock:(fun () -> invalid_arg "trace clock") () in
   let data = payloads ~count:200 ~size:64 17 in
   let before = open_fds () in
-  (match Udp.run_local ~config:failing ~receivers:3 ~loss:0.0 ~seed:18 ~data () with
-  | Ok _ -> Alcotest.fail "expected the codec constructor to raise"
+  (match
+     Udp.run_local ~config:{ config with payload_size = 64 } ~trace ~receivers:3 ~loss:0.2
+       ~seed:18 ~data ()
+   with
+  | Ok _ -> Alcotest.fail "expected the trace clock to raise"
   | Error e -> Alcotest.fail ("expected a raise, got Error: " ^ Rmcast.Error.to_string e)
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "every socket closed despite the raise" before (open_fds ())

@@ -44,15 +44,60 @@ let test_determinism_of_injected_loss () =
     (abs (r1.Udp.datagrams_dropped - r2.Udp.datagrams_dropped)
     <= (r1.Udp.datagrams_dropped + r2.Udp.datagrams_dropped) / 2 + 4)
 
+(* Every rejected input comes back as [Error] before a socket exists —
+   never as an exception from inside the run, and never as a run that
+   silently completes nothing.  The protocol rules are the profile's
+   ([Profile.validate]); the last rows are the socket medium's own. *)
 let test_validation () =
-  Alcotest.check_raises "empty data" (Invalid_argument "Udp_np.run_local: no data") (fun () ->
-      ignore (Udp.run_local_exn ~receivers:1 ~loss:0.0 ~seed:0 ~data:[||] ()));
-  Alcotest.check_raises "bad loss" (Invalid_argument "Udp_np.run_local: loss outside [0,1)")
-    (fun () ->
-      ignore
-        (Udp.run_local_exn ~receivers:1 ~loss:1.0 ~seed:0
-           ~data:(payloads ~count:1 ~size:Udp.default_config.Udp.payload_size 9)
-           ()))
+  let d = Udp.default_config in
+  let data = payloads ~count:1 ~size:d.Udp.payload_size 9 in
+  let reason = "Udp_np.run_local: " in
+  List.iter
+    (fun (label, config, loss, data, expected) ->
+      match Udp.run_local ~config ~receivers:1 ~loss ~seed:0 ~data () with
+      | Ok _ -> Alcotest.failf "%s: accepted" label
+      | Error e -> Alcotest.(check string) label (reason ^ expected) (Rmcast.Error.to_string e)
+      | exception exn -> Alcotest.failf "%s: raised %s" label (Printexc.to_string exn))
+    [
+      ("empty data", d, 0.0, [||], "no data");
+      ("bad loss", d, 1.0, data, "loss outside [0,1)");
+      ("nan loss", d, Float.nan, data, "loss outside [0,1)");
+      ( "proactive > h",
+        { d with proactive = d.Udp.h + 1 },
+        0.0,
+        data,
+        "need 0 <= proactive <= h (got proactive=17, h=16)" );
+      ( "proactive < 0",
+        { d with proactive = -1 },
+        0.0,
+        data,
+        "need 0 <= proactive <= h (got proactive=-1, h=16)" );
+      ("slot = 0", { d with slot = 0.0 }, 0.0, data, "slot must be positive (got 0)");
+      ( "spacing = nan",
+        { d with spacing = Float.nan },
+        0.0,
+        data,
+        "pacing must be positive (got nan)" );
+      ("spacing = -1", { d with spacing = -1.0 }, 0.0, data, "pacing must be positive (got -1)");
+      ( "rateless k + h beyond the codecs' index space",
+        { d with codec = `Rlnc; h = 0x10000 - d.Udp.k },
+        0.0,
+        data,
+        "k + h exceeds the 16-bit wire index space (got 65536)" );
+      ( "session_timeout = -1",
+        { d with session_timeout = -1.0 },
+        0.0,
+        data,
+        "linger and session_timeout must be non-negative" );
+      ( "linger = -1",
+        { d with linger = -1.0 },
+        0.0,
+        data,
+        "linger and session_timeout must be non-negative" );
+    ];
+  Alcotest.check_raises "the _exn variant raises the same text"
+    (Invalid_argument "Udp_np.run_local: no data") (fun () ->
+      ignore (Udp.run_local_exn ~receivers:1 ~loss:0.0 ~seed:0 ~data:[||] ()))
 
 let counter (report : Udp.report) name =
   match List.assoc_opt name report.Udp.counters with Some v -> v | None -> 0
